@@ -10,11 +10,9 @@
 //! Schema history: `lnuca-bench-baseline/v1` (PR 2) had no `engine` field;
 //! `v2` adds it (the [`lnuca_sim::system::Engine`] label, e.g.
 //! `event-horizon`) so the perf trajectory records which time-stepping
-//! engine produced each point; `v3` adds `batch_size` (the
-//! `ExperimentOptions::batch_size` the point ran at — a number, or the
-//! string `"full"` for one full-width batch per worker chunk) so
-//! `baseline_delta` can report batched-vs-sequential throughput ratios.
-//! Results are engine- and batch-independent — only the throughput
+//! engine produced each point; `v3` added the lockstep batch width of the
+//! since-removed batched engine (DESIGN.md §13). Points written now omit
+//! it, and `baseline_delta` prints it only as provenance of older points. Results are engine-independent — only the throughput
 //! changes.
 //!
 //! The workspace builds offline (DESIGN.md §8), so the vendored `serde` shim
@@ -72,7 +70,6 @@ pub fn baseline_json(
     out.push_str("{\n");
     push_str_field(&mut out, 1, "schema", "lnuca-bench-baseline/v3");
     push_str_field(&mut out, 1, "engine", opts.engine.label());
-    push_raw_field(&mut out, 1, "batch_size", &batch_size_json(opts.batch_size));
     push_raw_field(&mut out, 1, "threads", &opts.threads.to_string());
     push_raw_field(
         &mut out,
@@ -157,17 +154,6 @@ pub fn write(path: &Path, json: &str) -> std::io::Result<()> {
     std::fs::write(path, json)?;
     eprintln!("perf baseline written to {}", path.display());
     Ok(())
-}
-
-/// The `batch_size` field's JSON value: a number, or `"full"` for the
-/// `usize::MAX` sentinel (whose literal value is meaningless noise).
-#[must_use]
-pub fn batch_size_json(batch_size: usize) -> String {
-    if batch_size == usize::MAX {
-        "\"full\"".to_owned()
-    } else {
-        batch_size.max(1).to_string()
-    }
 }
 
 fn push_str_field(out: &mut String, indent: usize, key: &str, value: &str) {
@@ -260,26 +246,12 @@ mod tests {
         let json = baseline_json(&opts, &studies, 0.002);
         assert!(json.contains("\"schema\": \"lnuca-bench-baseline/v3\""));
         assert!(json.contains("\"engine\": \"event-horizon\""));
-        assert!(json.contains("\"batch_size\": 1"));
         assert!(json.contains("\"kcycles_per_sec\""));
         assert!(json.contains("\\\"x\\\""), "quotes inside names are escaped");
         // Balanced braces/brackets and no trailing commas before closers.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains(",\n  ]") && !json.contains(",\n}"));
-    }
-
-    #[test]
-    fn batch_size_field_uses_the_full_sentinel() {
-        assert_eq!(batch_size_json(1), "1");
-        assert_eq!(batch_size_json(8), "8");
-        assert_eq!(batch_size_json(0), "1", "clamped like the options builder");
-        assert_eq!(batch_size_json(usize::MAX), "\"full\"");
-
-        let mut opts = ExperimentOptions::quick();
-        opts.batch_size = usize::MAX;
-        let json = baseline_json(&opts, &[], 0.001);
-        assert!(json.contains("\"batch_size\": \"full\""));
     }
 
     #[test]

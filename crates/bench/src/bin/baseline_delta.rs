@@ -17,11 +17,9 @@
 //! The reader is the vendored `serde::json` document parser walking the
 //! schema emitted by `lnuca_bench::baseline` (`v1` through `v3`
 //! documents): each study's `configurations` array carries the
-//! per-configuration aggregates this table compares. A `v3` document also
-//! records the `batch_size` the point ran at; when the two points differ,
-//! the aggregate ratio line below the table is the batched-vs-sequential
-//! throughput comparison (DESIGN.md §13) — results are bit-identical
-//! across batch sizes, so only this throughput line should move.
+//! per-configuration aggregates this table compares. Points recorded while
+//! the batched engine existed also carry a `batch_size` field; it is
+//! printed as provenance only (DESIGN.md §13).
 
 use lnuca_sim::report::format_table;
 use serde::json;
@@ -44,14 +42,26 @@ const KNOWN_SCHEMAS: &[&str] = &[
 struct Baseline {
     /// `engine` field (`v2`+), or `?` for a `v1` document.
     engine: String,
-    /// `batch_size` field (`v3`+), or `1` for earlier documents (which
-    /// predate batching and always ran the per-run path).
-    batch_size: String,
+    /// `batch_size` field of points recorded by the since-removed batched
+    /// engine (a number or `"full"`); `None` when the document has none.
+    batch_size: Option<String>,
     /// `(study, label, wall seconds, simulated cycles, kcycles/s)` rows.
     configurations: Vec<(String, String, f64, u64, f64)>,
 }
 
 impl Baseline {
+    /// How the point was produced: its engine, plus the batch size of a
+    /// point recorded by the since-removed batched engine.
+    fn provenance(&self) -> String {
+        match &self.batch_size {
+            Some(batch) => format!(
+                "engine {}, batch size {batch} (batched engine)",
+                self.engine
+            ),
+            None => format!("engine {}", self.engine),
+        }
+    }
+
     /// Aggregate throughput over every configuration of every study:
     /// total simulated kilo-cycles over total per-configuration wall time.
     /// `None` when the document carries no timed work.
@@ -174,8 +184,9 @@ fn main() {
         format_table(&["study", "configuration", "committed", "fresh", "delta"], &rows)
     );
     println!(
-        "committed point: engine {}, batch size {}; fresh point: engine {}, batch size {}",
-        committed.engine, committed.batch_size, fresh.engine, fresh.batch_size
+        "committed point: {}; fresh point: {}",
+        committed.provenance(),
+        fresh.provenance()
     );
     // Per-core-count aggregates: CMP configurations retire fewer cycles
     // per second of wall time by design (N cores + a directory per
@@ -209,17 +220,9 @@ fn main() {
         );
     }
     if let (Some(old_kcps), Some(new_kcps)) = (committed.aggregate_kcps(), fresh.aggregate_kcps()) {
-        let context = if committed.batch_size == fresh.batch_size {
-            String::new()
-        } else {
-            format!(
-                " — batched (size {}) vs sequential-point (size {})",
-                fresh.batch_size, committed.batch_size
-            )
-        };
         println!(
             "aggregate throughput ratio (fresh/committed): {:.2}x \
-             ({new_kcps:.0} vs {old_kcps:.0} kcycles/s){context}",
+             ({new_kcps:.0} vs {old_kcps:.0} kcycles/s)",
             new_kcps / old_kcps
         );
     }
@@ -236,7 +239,7 @@ fn main() {
 fn read_baseline(path: &str) -> Baseline {
     let empty = Baseline {
         engine: "?".to_owned(),
-        batch_size: "1".to_owned(),
+        batch_size: None,
         configurations: Vec::new(),
     };
     let text = match std::fs::read_to_string(path) {
@@ -279,16 +282,14 @@ fn read_baseline(path: &str) -> Baseline {
         .and_then(json::Value::as_str)
         .unwrap_or("?")
         .to_owned();
-    // v3 writes a number or the string "full"; earlier schemas (pre-batching,
-    // always the per-run path) have no field at all.
-    let batch_size = match document.get("batch_size") {
-        Some(value) => value
+    // Points recorded by the batched engine carry a number or "full".
+    let batch_size = document.get("batch_size").map(|value| {
+        value
             .as_u64()
             .map(|n| n.to_string())
             .or_else(|| value.as_str().map(str::to_owned))
-            .unwrap_or_else(|| "?".to_owned()),
-        None => "1".to_owned(),
-    };
+            .unwrap_or_else(|| "?".to_owned())
+    });
     let mut configurations = Vec::new();
     let studies = document.get("studies").and_then(json::Value::as_array);
     for study in studies.unwrap_or_default() {

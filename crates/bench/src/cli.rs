@@ -126,13 +126,8 @@ pub fn run_plan_journaled(
     journal: Option<&str>,
     resume: bool,
 ) -> Result<(Study, f64), String> {
-    let batch = match plan.options.batch_size {
-        0 | 1 => String::new(),
-        usize::MAX => ", full-width batches".to_owned(),
-        n => format!(", batches of {n}"),
-    };
     eprintln!(
-        "running {:?}: {} configuration(s), {} instructions per run, {} worker thread(s){batch}",
+        "running {:?}: {} configuration(s), {} instructions per run, {} worker thread(s)",
         plan.name,
         plan.configs.len(),
         plan.options.instructions,
@@ -174,25 +169,10 @@ pub fn print_sections(plan: &ExperimentPlan, study: &Study, wall_seconds: f64, s
 ///
 /// Returns a printable message.
 pub fn run_scenario(arg: &str, report_path: Option<&str>) -> Result<(), String> {
-    run_scenario_batched(arg, report_path, None)
+    run_scenario_supervised(arg, report_path, None, false).map(|_| ())
 }
 
-/// [`run_scenario`] with an explicit batch size override (the
-/// `lnuca run --batch-size` flag), applied above every other layer —
-/// including `LNUCA_BATCH`.
-///
-/// # Errors
-///
-/// Returns a printable message.
-pub fn run_scenario_batched(
-    arg: &str,
-    report_path: Option<&str>,
-    batch_size: Option<usize>,
-) -> Result<(), String> {
-    run_scenario_supervised(arg, report_path, batch_size, None, false).map(|_| ())
-}
-
-/// The full `lnuca run` driver: [`run_scenario_batched`] plus the
+/// The full `lnuca run` driver: [`run_scenario`] plus the
 /// `--journal`/`--resume` flags. Returns how many runs of the study failed
 /// (the report is still printed and written — a supervised failure must
 /// not discard its siblings' results — but the caller should exit
@@ -204,7 +184,6 @@ pub fn run_scenario_batched(
 pub fn run_scenario_supervised(
     arg: &str,
     report_path: Option<&str>,
-    batch_size: Option<usize>,
     journal: Option<&str>,
     resume: bool,
 ) -> Result<usize, String> {
@@ -213,10 +192,7 @@ pub fn run_scenario_supervised(
     if !scenario.description.is_empty() {
         eprintln!("{}: {}", scenario.name(), scenario.description);
     }
-    let mut plan = resolved_plan(&resolved)?;
-    if let Some(batch) = batch_size {
-        plan.options.batch_size = batch.max(1);
-    }
+    let plan = resolved_plan(&resolved)?;
     let (study, wall) = run_plan_journaled(&plan, journal, resume)?;
     let mut sections = vec![Section::IpcSummary, Section::EnergySummary];
     if study.results.iter().any(|r| r.hierarchy.lnuca.is_some()) {
@@ -742,15 +718,11 @@ lnuca — declarative scenario runner for the Light NUCA reproduction
 
 USAGE:
     lnuca list                          list the built-in scenarios
-    lnuca run <scenario>... [--report PATH] [--batch-size N|full]
-                            [--journal PATH [--resume]]
+    lnuca run <scenario>... [--report PATH] [--journal PATH [--resume]]
                                         run built-in scenario(s) or
                                         lnuca-scenario/v1 file(s); --report
                                         (one scenario only) also writes the
                                         lnuca-report/v1 JSON document;
-                                        --batch-size steps N simulations in
-                                        lockstep per worker (bit-identical
-                                        results, DESIGN.md §13);
                                         --journal (one scenario only)
                                         appends completed runs to a
                                         crash-safe lnuca-journal/v1 file and
@@ -784,8 +756,8 @@ USAGE:
                                         DRAM timing; 160 points, or the
                                         16-point --mini grid), probe every
                                         point cheaply, prune e-dominated
-                                        points, evaluate the survivors with
-                                        the batched engine, and print the
+                                        points, evaluate the survivors, and
+                                        print the
                                         Pareto frontier; --report writes
                                         the lnuca-report/v1 document with
                                         the `sweep` extension that
@@ -917,7 +889,6 @@ pub fn cli_main(args: &[String]) -> i32 {
         "run" => {
             let mut scenarios: Vec<&String> = Vec::new();
             let mut report: Option<&str> = None;
-            let mut batch_size: Option<usize> = None;
             let mut journal: Option<&str> = None;
             let mut resume = false;
             let mut iter = rest.iter();
@@ -927,16 +898,6 @@ pub fn cli_main(args: &[String]) -> i32 {
                         Some(path) => report = Some(path),
                         None => {
                             eprintln!("error: --report needs a path\n{USAGE}");
-                            return 2;
-                        }
-                    }
-                } else if arg == "--batch-size" {
-                    match iter.next().and_then(|raw| knobs::parse_batch(raw)) {
-                        Some(batch) => batch_size = Some(batch),
-                        None => {
-                            eprintln!(
-                                "error: --batch-size needs a batch size >= 1, or \"full\"\n{USAGE}"
-                            );
                             return 2;
                         }
                     }
@@ -950,6 +911,9 @@ pub fn cli_main(args: &[String]) -> i32 {
                     }
                 } else if arg == "--resume" {
                     resume = true;
+                } else if arg.starts_with("--") {
+                    eprintln!("error: unknown flag {arg}\n{USAGE}");
+                    return 2;
                 } else {
                     scenarios.push(arg);
                 }
@@ -972,7 +936,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             }
             let mut failed_runs = 0;
             for arg in scenarios {
-                match run_scenario_supervised(arg, report, batch_size, journal, resume) {
+                match run_scenario_supervised(arg, report, journal, resume) {
                     Ok(failures) => failed_runs += failures,
                     Err(e) => {
                         eprintln!("error: {e}");
@@ -1281,17 +1245,7 @@ mod tests {
         assert_eq!(
             cli_main(&["run".to_owned(), "paper-dnuca".to_owned(), "--batch-size".to_owned()]),
             2,
-            "--batch-size without a value is a usage error"
-        );
-        assert_eq!(
-            cli_main(&[
-                "run".to_owned(),
-                "paper-dnuca".to_owned(),
-                "--batch-size".to_owned(),
-                "0".to_owned()
-            ]),
-            2,
-            "a zero batch is rejected before anything runs"
+            "an unknown flag is a usage error, rejected before anything runs"
         );
         assert_eq!(cli_main(&["export".to_owned(), "nope".to_owned()]), 1);
     }

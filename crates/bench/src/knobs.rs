@@ -19,7 +19,7 @@
 //! The variables (see the crate docs for the full prose): `LNUCA_QUICK`,
 //! `LNUCA_INSTRUCTIONS`, `LNUCA_BENCHMARKS_PER_SUITE`, `LNUCA_SEED`,
 //! `LNUCA_LEVELS`, `LNUCA_WORKLOADS`, `LNUCA_THREADS`, `LNUCA_ENGINE`,
-//! `LNUCA_BATCH`, `LNUCA_BENCH_JSON`, plus the run-supervision knobs
+//! `LNUCA_BENCH_JSON`, plus the run-supervision knobs
 //! (DESIGN.md §14): `LNUCA_CYCLE_BUDGET`, `LNUCA_RUN_TIMEOUT_MS`,
 //! `LNUCA_LIVELOCK_WINDOW` (all three: `0` = off) and `LNUCA_RETRIES`.
 //!
@@ -133,21 +133,6 @@ pub fn parse_epsilon(raw: &str) -> Option<f64> {
         .parse::<f64>()
         .ok()
         .filter(|e| e.is_finite() && *e >= 0.0)
-}
-
-/// Parses an `LNUCA_BATCH` value: a batch size of at least 1, or
-/// `full`/`max` for one full-width batch per worker-claimed chunk
-/// (`usize::MAX`, see `ExperimentOptions::batch_size`). `None` for `0` or
-/// anything unrecognised.
-#[must_use]
-pub fn parse_batch(raw: &str) -> Option<usize> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "full" | "max" => Some(usize::MAX),
-        trimmed => match trimmed.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => None,
-        },
-    }
 }
 
 /// Parses an `LNUCA_LEVELS` value: comma-separated level counts in 2..=8.
@@ -268,12 +253,6 @@ pub fn apply_env(opts: &mut ExperimentOptions) {
             None => warn_malformed("LNUCA_ENGINE", &raw, "\"event\" or \"cycle\""),
         }
     }
-    if let Ok(raw) = std::env::var("LNUCA_BATCH") {
-        match parse_batch(&raw) {
-            Some(batch) => opts.batch_size = batch,
-            None => warn_malformed("LNUCA_BATCH", &raw, "a batch size >= 1, or \"full\""),
-        }
-    }
     // Supervision watchdogs (DESIGN.md §14): for the three budget knobs an
     // explicit `0` disables the watchdog (the field's None), so a CI job
     // can switch one off even when a scenario pins it.
@@ -374,17 +353,6 @@ mod tests {
         assert_eq!(parse_levels("2,3,4"), Some(vec![2, 3, 4]));
         assert_eq!(parse_levels(" 5 "), Some(vec![5]));
         assert_eq!(parse_levels("1,9,zzz"), None, "out-of-range and junk leave nothing");
-    }
-
-    #[test]
-    fn batch_values_parse() {
-        assert_eq!(parse_batch("1"), Some(1));
-        assert_eq!(parse_batch(" 8 "), Some(8));
-        assert_eq!(parse_batch("full"), Some(usize::MAX));
-        assert_eq!(parse_batch("MAX"), Some(usize::MAX));
-        assert_eq!(parse_batch("0"), None, "a zero batch is meaningless");
-        assert_eq!(parse_batch("-2"), None);
-        assert_eq!(parse_batch("wide"), None);
     }
 
     #[test]

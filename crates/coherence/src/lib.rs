@@ -11,8 +11,7 @@
 //! protocol state therefore changes in program order per core and in core
 //! index order across cores — there is no transient state and no message
 //! interleaving for an execution engine to reorder, which is what keeps
-//! `CycleStep`, `EventHorizon` and the batched runner bit-identical over
-//! coherent runs.
+//! `CycleStep` and `EventHorizon` bit-identical over coherent runs.
 //!
 //! The directory is **fixed-slot** (DESIGN.md §9): a set-associative array
 //! of entries sized at construction, sharer sets as `u64` bitmasks (hence

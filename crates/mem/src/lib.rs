@@ -45,11 +45,9 @@ pub mod geometry;
 pub mod mshr;
 pub mod probe;
 pub mod replacement;
-pub mod slab;
 pub mod write_buffer;
 
 pub use array::{CacheArray, EvictedLine, Line};
-pub use slab::TagSlab;
 pub use probe::{AccessClass, CountingProbe, NoProbe, ProbeEvent, ProbeSink};
 pub use cache::{
     AccessMode, AccessOutcome, CacheConfig, CacheConfigBuilder, CacheStats, ConventionalCache,

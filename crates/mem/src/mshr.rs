@@ -101,8 +101,8 @@ impl MshrFile {
                     // Full capacity up front (primary + merged secondaries)
                     // so even the *first* allocate/merge cycle of a slot
                     // never grows the vector: the zero-allocation window of
-                    // a batched run starts at construction, not after a
-                    // warm-up (DESIGN.md §9/§13).
+                    // a run starts at construction, not after a warm-up
+                    // (DESIGN.md §9).
                     waiters: Vec::with_capacity(1 + secondary_per_entry),
                 })
                 .collect(),

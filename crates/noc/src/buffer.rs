@@ -165,8 +165,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Batch construction performs every allocation up front (DESIGN.md
-    /// §9.2/§13): the backing storage is reserved in `new`, so a buffer
+    /// Construction performs every allocation up front (DESIGN.md §9.2):
+    /// the backing storage is reserved in `new`, so a buffer
     /// cycled through arbitrary push/pop/retain traffic at steady state
     /// never grows it. `VecDeque` only reallocates when occupancy would
     /// exceed capacity — which `push` rejects — so the pin is the raw

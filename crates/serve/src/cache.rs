@@ -4,7 +4,7 @@
 //! **semantic plan digest** (`lnuca_sim::journal::plan_digest`): the FNV-1a
 //! content address over schema, instructions, seed, resolved workloads and
 //! the full configuration specs — and over nothing else, because execution
-//! knobs (threads, engine, batch size, watchdogs) cannot change results.
+//! knobs (threads, engine, watchdogs) cannot change results.
 //! Two submissions collide exactly when the engine would produce the same
 //! report bytes, so a hit is served **byte-identically** without running
 //! anything, and any semantic field change is a guaranteed miss.

@@ -56,8 +56,13 @@ impl Message {
 /// line). Returns a human-readable error on malformed input or when a cap
 /// is exceeded; the caller maps that to `400 Bad Request` (server side) or
 /// a harness failure (client side).
-pub fn read_message(stream: &mut TcpStream, expect_response: bool) -> Result<Message, String> {
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+///
+/// Every read is bounded: the header block is read through a
+/// [`Read::take`] of one byte past [`MAX_HEAD_BYTES`], so a peer that never
+/// sends a newline costs at most that much memory, and the body through a
+/// limit of exactly its `Content-Length`.
+pub fn read_message<R: Read>(stream: &mut R, expect_response: bool) -> Result<Message, String> {
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES as u64 + 1));
     let mut head = String::new();
     let mut line = String::new();
     loop {
@@ -125,6 +130,12 @@ pub fn read_message(stream: &mut TcpStream, expect_response: bool) -> Result<Mes
         return Err(format!("body of {length} bytes exceeds {MAX_BODY_BYTES}"));
     }
     if length > 0 {
+        // Part of the body may already sit in the buffer; allow only the
+        // rest through the limit.
+        let buffered = reader.buffer().len() as u64;
+        reader
+            .get_mut()
+            .set_limit((length as u64).saturating_sub(buffered));
         let mut body = vec![0u8; length];
         reader
             .read_exact(&mut body)
@@ -264,5 +275,63 @@ mod tests {
         let err = read_message(&mut stream, false).expect_err("must reject");
         assert!(err.contains("exceeds"), "got: {err}");
         client.join().expect("client thread");
+    }
+
+    /// A reader that counts the bytes it hands out.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_header_line_without_a_newline_is_rejected_at_the_cap() {
+        let flood = vec![b'a'; 1024 * 1024];
+        let mut stream = Counting {
+            inner: flood.as_slice(),
+            read: 0,
+        };
+        let err = read_message(&mut stream, false).expect_err("must reject");
+        assert!(err.contains("exceeds"), "got: {err}");
+        assert!(
+            stream.read <= MAX_HEAD_BYTES + 1,
+            "read {} bytes of an endless line",
+            stream.read
+        );
+    }
+
+    #[test]
+    fn a_body_is_read_exactly_whether_or_not_it_was_buffered_with_the_head() {
+        let mut raw = b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello".to_vec();
+        raw.extend(std::iter::repeat_n(b'x', 3 * MAX_HEAD_BYTES));
+        let mut stream = Counting {
+            inner: raw.as_slice(),
+            read: 0,
+        };
+        let message = read_message(&mut stream, false).expect("parses");
+        assert_eq!(message.body, b"hello");
+        assert!(
+            stream.read <= MAX_HEAD_BYTES + 1,
+            "read {} bytes",
+            stream.read
+        );
+
+        let mut head = format!(
+            "POST /x HTTP/1.1\r\ncontent-length: {}\r\n",
+            3 * MAX_HEAD_BYTES
+        );
+        head.push_str("\r\n");
+        let mut raw = head.into_bytes();
+        raw.extend(std::iter::repeat_n(b'y', 3 * MAX_HEAD_BYTES));
+        let message = read_message(&mut raw.as_slice(), false).expect("parses");
+        assert_eq!(message.body.len(), 3 * MAX_HEAD_BYTES);
+        assert!(message.body.iter().all(|&b| b == b'y'));
     }
 }

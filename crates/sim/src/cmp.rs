@@ -26,8 +26,8 @@
 //! request is rejected only by its own core's fixed in-flight window — so
 //! the sequence of directory operations is a pure function of the workload
 //! streams, independent of how the driver advances time. That makes
-//! [`Engine::CycleStep`], [`Engine::EventHorizon`] and the batched runner
-//! bit-identical for CMP runs exactly as they are for single-core runs:
+//! [`Engine::CycleStep`] and [`Engine::EventHorizon`] bit-identical for
+//! CMP runs exactly as they are for single-core runs:
 //! ticking any component at a non-event cycle is a no-op, so visiting
 //! extra cycles (or skipping dead ones) cannot reorder anything.
 //!
@@ -41,7 +41,7 @@
 use crate::energy_model;
 use crate::spec::{BackingSpec, HierarchySpec};
 use crate::supervise::RunGuard;
-use crate::system::{Engine, RunResult};
+use crate::system::{drive, Engine, Machine, RunResult};
 use lnuca_coherence::{Directory, DirectoryConfig, DirectoryCounters, MsiState, Recall};
 use lnuca_cpu::{drain_ready, CoreConfig, CoreStats, DataMemory, OooCore};
 use lnuca_mem::{
@@ -737,9 +737,27 @@ impl<P: ProbeSink> CmpMachine<P> {
     }
 }
 
-/// The CMP counterpart of the solo run loop in
-/// [`crate::system::System::run_spec_guarded`]: same cycle cap, same
-/// engine formulas, same guard observation points — `instructions` is the
+impl<P: ProbeSink> Machine for CmpMachine<P> {
+    fn tick(&mut self, now: Cycle) {
+        CmpMachine::tick(self, now);
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        CmpMachine::next_event(self, now)
+    }
+
+    fn is_finished(&self) -> bool {
+        CmpMachine::is_finished(self)
+    }
+
+    fn committed(&self) -> u64 {
+        CmpMachine::committed(self)
+    }
+}
+
+/// Runs one CMP simulation through the run loop every solo run also uses
+/// ([`crate::system::System::run_spec_guarded`]): same cycle cap, same
+/// engine formulas, same guard observation points. `instructions` is the
 /// per-core budget.
 ///
 /// # Errors
@@ -756,30 +774,7 @@ pub fn run_cmp_guarded<P: ProbeSink, G: RunGuard>(
     guard: &mut G,
 ) -> Result<(RunResult, crate::hierarchy::AnyHierarchy<P>), RunError> {
     let mut machine = CmpMachine::from_spec(spec, profile, instructions, seed, probe)?;
-    let cycle_cap = instructions.saturating_mul(400) + 1_000_000;
-    let mut now = Cycle(0);
-    while !machine.is_finished() && now.0 < cycle_cap {
-        guard.observe(now, machine.committed())?;
-        machine.tick(now);
-        now = match engine {
-            Engine::CycleStep => now.next(),
-            Engine::EventHorizon => {
-                if machine.is_finished() {
-                    now.next()
-                } else {
-                    let next = machine
-                        .next_event(now)
-                        .unwrap_or(Cycle(cycle_cap))
-                        .max(now.next())
-                        .min(Cycle(cycle_cap).max(now.next()));
-                    match guard.horizon_clamp() {
-                        Some(clamp) => next.min(Cycle(clamp.max(now.0 + 1))),
-                        None => next,
-                    }
-                }
-            }
-        };
-    }
+    let now = drive(&mut machine, engine, instructions, guard)?;
     machine.finalize(now);
     let result = machine.result(now);
     Ok((result, crate::hierarchy::AnyHierarchy::Cmp(machine.into_memory())))

@@ -100,14 +100,6 @@ pub struct ExperimentOptions {
     /// (`tests/event_horizon_determinism.rs`), so summaries never depend on
     /// it. Recorded in the `lnuca-bench-baseline/v2` perf baseline.
     pub engine: Engine,
-    /// Simulations stepped in lockstep per worker (DESIGN.md §13): the job
-    /// matrix is cut into contiguous batches of this size, each run by one
-    /// [`crate::batch::BatchRunner`]. `1` (the default) preserves the
-    /// per-run path; `usize::MAX` means one batch per worker-claimed chunk
-    /// spanning everything. Like `threads` and `engine` this changes only
-    /// the wall clock — every batched run is bit-identical to its solo
-    /// counterpart (`tests/batch_equivalence.rs`).
-    pub batch_size: usize,
     /// Watchdog: abort any run whose simulated clock reaches this many
     /// cycles with the workload unfinished (`None` = no budget; the
     /// `LNUCA_CYCLE_BUDGET` knob). Deterministic — a tripped run trips at
@@ -137,7 +129,6 @@ impl Default for ExperimentOptions {
             lnuca_levels: vec![2, 3, 4],
             threads: 1,
             engine: Engine::EventHorizon,
-            batch_size: 1,
             cycle_budget: None,
             run_timeout_ms: None,
             livelock_window: None,
@@ -256,14 +247,6 @@ impl ExperimentOptionsBuilder {
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Self {
         self.options.engine = engine;
-        self
-    }
-
-    /// Sets how many simulations each worker steps in lockstep (clamped to
-    /// at least 1; 1 = the per-run path).
-    #[must_use]
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.options.batch_size = batch_size.max(1);
         self
     }
 
@@ -457,13 +440,6 @@ impl ExperimentPlanBuilder {
             return Err(ConfigError::new(
                 "configs",
                 "an experiment plan needs at least one hierarchy configuration",
-            ));
-        }
-        if self.plan.options.batch_size == 0 {
-            return Err(ConfigError::new(
-                "options.batch_size",
-                "a zero-wide batch would simulate nothing; use 1 or more, or \
-                 usize::MAX for one full-width batch (the LNUCA_BATCH knob)",
             ));
         }
         if self.plan.options.benchmarks_per_suite == Some(0) {
@@ -660,7 +636,7 @@ impl Study {
     ///
     /// The journal is content-addressed by a digest over the plan's
     /// semantic fields (configurations, workloads, instructions, seed —
-    /// not threads/engine/batch size, which cannot change results); resuming
+    /// not threads or engine, which cannot change results); resuming
     /// against a journal written for a different plan is a
     /// [`RunError::JournalCorrupt`].
     ///
@@ -756,7 +732,6 @@ impl Study {
             opts.instructions,
             opts.threads,
             opts.engine,
-            opts.batch_size,
             &supervisor,
             journal,
             stop,
@@ -970,122 +945,36 @@ fn run_job(
     outcome
 }
 
-/// Runs one contiguous batch of the matrix through a supervised
-/// [`crate::batch::BatchRunner`], returning per-job outcomes in batch
-/// order and journaling the successes.
-fn run_batch(
-    batch: &[Job<'_>],
-    instructions: u64,
-    engine: Engine,
-    supervisor: &Supervisor,
-    journal: Option<&JournalWriter>,
-) -> Vec<JobOutcome> {
-    let batch_jobs: Vec<crate::batch::BatchJob<'_>> = batch
-        .iter()
-        .map(|job| crate::batch::BatchJob {
-            spec: job.spec,
-            profile: job.profile,
-            instructions,
-            seed: job.seed,
-        })
-        .collect();
-    let outcomes = supervise::run_batch_supervised(engine, &batch_jobs, supervisor);
-    if let Some(writer) = journal {
-        for (job, outcome) in batch.iter().zip(&outcomes) {
-            if let Ok((result, perf)) = &outcome.outcome {
-                writer.record(job.index, result, perf);
-            }
-        }
-    }
-    outcomes
-}
-
 /// Runs the experiment matrix on up to `threads` scoped workers pulling
 /// work from a shared queue, returning the outcomes in job order.
 ///
-/// With `batch_size <= 1` the unit of work is one job; otherwise the job
-/// list is cut into contiguous batches of `batch_size` (in job order) and
-/// each worker steps a whole batch in lockstep ([`crate::batch`]).
-///
 /// Each job builds its own hierarchy, trace generator and core from nothing
 /// but the job description, so runs share no state and the outcome vector is
-/// bit-identical to a sequential execution — the workers and the batch cut
-/// only change which wall-clock instant each run happens at.
+/// bit-identical to a sequential execution — the workers only change which
+/// wall-clock instant each run happens at.
 ///
-/// `stop` is checked once per claim (job or batch): a raised signal turns
-/// every not-yet-claimed unit into failures carrying the signal's error,
-/// without simulating them.
-#[allow(clippy::too_many_arguments)]
+/// `stop` is checked once per claimed job: a raised signal turns every
+/// not-yet-claimed job into a failure carrying the signal's error, without
+/// simulating it.
 fn run_jobs(
     jobs: &[Job<'_>],
     instructions: u64,
     threads: usize,
     engine: Engine,
-    batch_size: usize,
     supervisor: &Supervisor,
     journal: Option<&JournalWriter>,
     stop: Option<&StopSignal>,
 ) -> Vec<JobOutcome> {
-    let stopped = || stop.and_then(StopSignal::error);
-    let stop_batch = |batch: &[Job<'_>], error: &RunError| -> Vec<JobOutcome> {
-        batch
-            .iter()
-            .map(|_| JobOutcome {
-                outcome: Err(error.clone()),
-                attempts: 0,
-            })
-            .collect()
+    let claim = |job: &Job<'_>| match stop.and_then(StopSignal::error) {
+        Some(error) => JobOutcome {
+            outcome: Err(error),
+            attempts: 0,
+        },
+        None => run_job(job, instructions, engine, supervisor, journal),
     };
-    if batch_size > 1 {
-        let batches: Vec<&[Job<'_>]> = jobs.chunks(batch_size).collect();
-        let threads = threads.max(1).min(batches.len().max(1));
-        if threads == 1 {
-            return batches
-                .iter()
-                .flat_map(|batch| match stopped() {
-                    Some(error) => stop_batch(batch, &error),
-                    None => run_batch(batch, instructions, engine, supervisor, journal),
-                })
-                .collect();
-        }
-        let next_batch = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<JobOutcome>>>> =
-            batches.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next_batch.fetch_add(1, Ordering::Relaxed);
-                    let Some(batch) = batches.get(i) else { break };
-                    let outcomes = match stopped() {
-                        Some(error) => stop_batch(batch, &error),
-                        None => run_batch(batch, instructions, engine, supervisor, journal),
-                    };
-                    *slots[i].lock().expect("no other holder can panic") = Some(outcomes);
-                });
-            }
-        });
-        return slots
-            .into_iter()
-            .flat_map(|slot| {
-                slot.into_inner()
-                    .expect("worker panics propagate out of the scope")
-                    .expect("every batch index below batches.len() was claimed exactly once")
-            })
-            .collect();
-    }
-
     let threads = threads.max(1).min(jobs.len().max(1));
     if threads == 1 {
-        return jobs
-            .iter()
-            .map(|job| match stopped() {
-                Some(error) => JobOutcome {
-                    outcome: Err(error),
-                    attempts: 0,
-                },
-                None => run_job(job, instructions, engine, supervisor, journal),
-            })
-            .collect();
+        return jobs.iter().map(claim).collect();
     }
 
     let next_job = AtomicUsize::new(0);
@@ -1095,14 +984,7 @@ fn run_jobs(
             scope.spawn(|| loop {
                 let i = next_job.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(i) else { break };
-                let outcome = match stopped() {
-                    Some(error) => JobOutcome {
-                        outcome: Err(error),
-                        attempts: 0,
-                    },
-                    None => run_job(job, instructions, engine, supervisor, journal),
-                };
-                *slots[i].lock().expect("no other holder can panic") = Some(outcome);
+                *slots[i].lock().expect("no other holder can panic") = Some(claim(job));
             });
         }
     });
@@ -1301,17 +1183,6 @@ mod tests {
     fn zero_knobs_are_rejected_at_plan_validation() {
         let spec = HierarchyKind::Conventional(configs::conventional()).to_spec();
         let mut opts = ExperimentOptions::quick();
-        opts.batch_size = 0;
-        let err = ExperimentPlan::builder("zero-batch")
-            .config(spec.clone())
-            .options(opts)
-            .build()
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("batch_size"), "the offending knob is named: {err}");
-        assert!(err.contains("LNUCA_BATCH"), "the env spelling is named too: {err}");
-
-        let mut opts = ExperimentOptions::quick();
         opts.benchmarks_per_suite = Some(0);
         let err = ExperimentPlan::builder("zero-benchmarks")
             .config(spec)
@@ -1335,26 +1206,6 @@ mod tests {
         // Perf is recorded for every run either way (values are host noise).
         assert_eq!(parallel.perf.len(), parallel.results.len());
         assert!(parallel.perf.iter().all(|p| p.wall_nanos > 0 && p.cycles > 0));
-    }
-
-    #[test]
-    fn batch_size_does_not_change_results() {
-        let mut opts = ExperimentOptions::quick();
-        opts.instructions = 2_000;
-        opts.lnuca_levels = vec![2];
-        let sequential = conventional(&opts).unwrap();
-        for batch_size in [2, 3, usize::MAX] {
-            opts.batch_size = batch_size;
-            let batched = conventional(&opts).unwrap();
-            assert_eq!(sequential.results, batched.results, "batch size {batch_size}");
-            assert_eq!(batched.perf.len(), batched.results.len());
-            assert!(batched.perf.iter().all(|p| p.cycles > 0));
-        }
-        // Batches fanned out over workers compose with thread isolation.
-        opts.threads = 2;
-        opts.batch_size = 3;
-        let both = conventional(&opts).unwrap();
-        assert_eq!(sequential.results, both.results);
     }
 
     #[test]
@@ -1405,22 +1256,5 @@ mod tests {
         let unstopped = Study::run_controlled(&plan, None, false, &StopSignal::new()).unwrap();
         assert_eq!(baseline.results, unstopped.results);
         assert!(unstopped.failures.is_empty());
-    }
-
-    #[test]
-    fn stopped_batched_study_reports_the_stop_per_member() {
-        let mut opts = ExperimentOptions::quick();
-        opts.instructions = 1_000;
-        opts.lnuca_levels = vec![2];
-        opts.benchmarks_per_suite = Some(1);
-        opts.batch_size = 3;
-        let plan = ExperimentPlan::paper_dnuca(&opts).unwrap();
-
-        let stop = StopSignal::new();
-        stop.shutdown();
-        let study = Study::run_controlled(&plan, None, false, &stop).unwrap();
-        assert!(study.results.is_empty());
-        assert_eq!(study.failures.len(), 2 * 2);
-        assert!(study.failures.iter().all(|f| f.error == lnuca_types::RunError::Shutdown));
     }
 }

@@ -10,7 +10,7 @@
 //! The header carries a digest over the plan's *semantic* fields only: the
 //! resolved workload names, the instruction budget, the base seed and the
 //! fully-expanded hierarchy configurations. Execution knobs that cannot
-//! change results — thread count, engine, batch size, watchdog budgets,
+//! change results — thread count, engine, watchdog budgets,
 //! retries, the plan name — are excluded, so a study journaled on one
 //! machine can be resumed with different parallelism and still produce a
 //! byte-identical report (runs are deterministic; see
@@ -993,7 +993,7 @@ mod tests {
         let base = tiny_plan("digest");
         let base_digest = plan_digest(&base).expect("digest computes");
 
-        // Non-semantic knobs: threads, engine, batch size, budgets, name.
+        // Non-semantic knobs: threads, engine, budgets, name.
         let mut exec = base.clone();
         exec.name = "renamed".to_owned();
         exec.options = ExperimentOptions::builder()
@@ -1001,7 +1001,6 @@ mod tests {
             .benchmarks_per_suite(Some(1))
             .threads(7)
             .engine(crate::system::Engine::CycleStep)
-            .batch_size(4)
             .cycle_budget(Some(123))
             .run_timeout_ms(Some(456))
             .livelock_window(Some(789))

@@ -19,15 +19,11 @@
 //!   instruction budget,
 //! * [`energy_model`] — turns run statistics into the stacked-bar energy
 //!   accounts of Figs. 4(b) and 5(b),
-//! * [`batch`] — the [`BatchRunner`]: one worker stepping N independent
-//!   simulations in lockstep along a per-batch horizon heap, bit-identical
-//!   per member to the solo path,
 //! * [`experiments`] — the declarative [`ExperimentPlan`] and the single
 //!   [`Study::run`] entry point (the paper studies are the built-in
-//!   `paper_*` plans); `ExperimentOptions::batch_size` routes the matrix
-//!   through the batched engine,
+//!   `paper_*` plans),
 //! * [`supervise`] — run supervision (DESIGN.md §14): panic isolation per
-//!   job and batch member, cycle/livelock/wall-clock watchdogs, bounded
+//!   job, cycle/livelock/wall-clock watchdogs, bounded
 //!   retry, the cooperative [`StopSignal`] behind service cancellation and
 //!   drain (DESIGN.md §15), and the deterministic fault-injection seam,
 //! * [`journal`] — the crash-safe, content-addressed study journal behind
@@ -58,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cmp;
 pub mod configs;
 pub mod energy_model;
@@ -72,7 +67,6 @@ pub mod supervise;
 pub mod sweep;
 pub mod system;
 
-pub use batch::{BatchJob, BatchRunner};
 pub use cmp::{CmpMachine, CmpMemory, CoherenceStats, CoreRow};
 pub use configs::HierarchyKind;
 pub use experiments::{ExperimentPlan, FailedRun, Study};

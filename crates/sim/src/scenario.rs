@@ -26,8 +26,7 @@
 //!   "description": "...",
 //!   "options": {
 //!     "instructions": 100000, "seed": 1, "benchmarks_per_suite": null,
-//!     "workloads": "paper", "threads": 0, "engine": "event",
-//!     "batch_size": 1
+//!     "workloads": "paper", "threads": 0, "engine": "event"
 //!   },
 //!   "configs": [
 //!     {"preset": "conventional"},
@@ -371,10 +370,6 @@ fn options_to_value(options: &ExperimentOptions) -> Value {
             Value::String(options.engine.label().to_owned()),
         ),
         (
-            "batch_size".to_owned(),
-            Value::UInt(options.batch_size as u64),
-        ),
-        (
             "cycle_budget".to_owned(),
             options.cycle_budget.map_or(Value::Null, Value::UInt),
         ),
@@ -441,16 +436,16 @@ fn options_from_value(path: &str, value: &Value) -> Result<ExperimentOptions, Sc
         };
     }
     override_usize(&mut fields, "threads", &mut options.threads)?;
+    // Accepted and ignored for older documents: the batched engine it
+    // sized is gone, and every run takes the per-run path.
     if let Some(v) = fields.optional("batch_size") {
         let path = fields.child_path("batch_size");
-        let n = expect_usize(&path, v)?;
-        if n == 0 {
+        if expect_usize(&path, v)? == 0 {
             return Err(ScenarioError::schema(
                 &path,
                 "must be at least 1 (a zero-wide batch would simulate nothing)",
             ));
         }
-        options.batch_size = n;
     }
     // Watchdog knobs (DESIGN.md §14): null and absent both mean "off",
     // matching the field defaults.
@@ -2073,5 +2068,16 @@ mod tests {
         // 1 stays accepted.
         Scenario::from_json(&scenario_with_options(r#"{"batch_size": 1, "benchmarks_per_suite": 1}"#))
             .expect("nonzero values are valid");
+        // A nonzero batch size is read for compatibility and ignored: same
+        // plan, same journal digest as a document without the field.
+        let with = Scenario::from_json(&scenario_with_options(r#"{"batch_size": 8}"#))
+            .expect("a nonzero batch size is accepted");
+        let without = Scenario::from_json(&scenario_with_options("{}")).expect("valid");
+        assert_eq!(with.plan, without.plan);
+        assert_eq!(
+            crate::journal::plan_digest(&with.plan).expect("digest computes"),
+            crate::journal::plan_digest(&without.plan).expect("digest computes"),
+        );
+        assert!(!with.to_json().contains("batch_size"), "the field is no longer emitted");
     }
 }

@@ -1,7 +1,6 @@
 //! The design-space autopilot: expand a sweep grid into many
 //! [`HierarchySpec`]s, probe each cheaply, prune ε-dominated points, and
-//! evaluate only the survivors with the batched experiment engine
-//! (DESIGN.md §16, ROADMAP item 4).
+//! evaluate only the survivors with the experiment engine (DESIGN.md §16).
 //!
 //! A sweep runs in two fidelities:
 //!
@@ -12,8 +11,7 @@
 //!    equal on *all three* axes, and worse by more than `epsilon`
 //!    relatively on at least one) are dropped without ever reaching the
 //!    expensive stage; the survivors form an [`ExperimentPlan`] that
-//!    [`Study::run`] evaluates with the full workload matrix and the
-//!    batched engine.
+//!    [`Study::run`] evaluates with the full workload matrix.
 //!
 //! The outcome renders as a standard `lnuca-report/v1` document with a
 //! `sweep` extension — evaluated/pruned counts, the ε used, and the Pareto
@@ -84,7 +82,7 @@ pub struct SweepConfig {
     /// Instructions of the probe stage (knob `LNUCA_SWEEP_PROBE`).
     pub probe_instructions: u64,
     /// Options of the survivor evaluation stage (quick-mode instruction
-    /// counts, the batched engine, workload selection).
+    /// counts, workload selection).
     pub options: ExperimentOptions,
 }
 
@@ -126,13 +124,11 @@ impl SweepConfig {
         }
     }
 
-    /// Quick-mode options for the survivor stage: one benchmark per suite,
-    /// the batched data-parallel engine at full batch width.
+    /// Quick-mode options for the survivor stage: one benchmark per suite.
     fn survivor_options(instructions: u64) -> ExperimentOptions {
         ExperimentOptions::builder()
             .instructions(instructions)
             .benchmarks_per_suite(Some(1))
-            .batch_size(usize::MAX)
             .build()
     }
 

@@ -273,10 +273,9 @@ impl System {
     /// iteration (DESIGN.md §14): the supervision layer's watchdogs hook in
     /// here. The guard is generic, so the [`NoGuard`] path compiles to the
     /// exact unguarded loop; with an active guard the event-horizon jump is
-    /// additionally clamped to [`RunGuard::horizon_clamp`] — extra ticks at
-    /// non-event cycles are state-wise no-ops (the cycle-step engine visits
-    /// every cycle and is bit-identical), so results never change; the
-    /// clamp only makes watchdog trip cycles deterministic.
+    /// additionally clamped to [`RunGuard::horizon_clamp`], which never
+    /// changes results. Multicore specs (`cores > 1`) run on a
+    /// [`crate::cmp::CmpMachine`] through the same loop.
     ///
     /// # Errors
     ///
@@ -304,49 +303,16 @@ impl System {
                 guard,
             );
         }
-        let mut hierarchy = Self::build_spec_probed(spec, probe)?;
-        let trace =
-            TraceGenerator::new(profile.clone(), seed).take(usize::try_from(instructions).unwrap_or(usize::MAX));
-        let mut core = OooCore::new(CoreConfig::paper(), trace)?;
-
-        let mut now = Cycle(0);
-        // Generous safety cap: no workload should need 400 cycles per
-        // instruction; hitting the cap indicates a simulator bug and shows up
-        // as an implausible IPC in the results.
-        let cycle_cap = instructions.saturating_mul(400) + 1_000_000;
-        while !core.is_finished() && now.0 < cycle_cap {
-            guard.observe(now, core.committed())?;
-            hierarchy.tick(now);
-            core.tick(now, &mut hierarchy);
-            now = match engine {
-                Engine::CycleStep => now.next(),
-                Engine::EventHorizon => {
-                    if core.is_finished() {
-                        // Match the reference engine's final clock exactly.
-                        now.next()
-                    } else {
-                        // Jump to the earliest cycle either side can act.
-                        // `None`+`None` means neither component will ever act
-                        // again: jump to the cap, exactly where per-cycle
-                        // stepping (all no-op ticks) would also end up.
-                        let horizon = match (hierarchy.next_event(now), core.next_event(now)) {
-                            (Some(h), Some(c)) => Some(h.min(c)),
-                            (h, c) => h.or(c),
-                        };
-                        let next = horizon
-                            .unwrap_or(Cycle(cycle_cap))
-                            .max(now.next())
-                            .min(Cycle(cycle_cap).max(now.next()));
-                        match guard.horizon_clamp() {
-                            // Never jump past the next cycle the guard must
-                            // observe, while always making progress.
-                            Some(clamp) => next.min(Cycle(clamp.max(now.0 + 1))),
-                            None => next,
-                        }
-                    }
-                }
-            };
-        }
+        let hierarchy = Self::build_spec_probed(spec, probe)?;
+        let trace = TraceGenerator::new(profile.clone(), seed)
+            .take(usize::try_from(instructions).unwrap_or(usize::MAX));
+        let core = OooCore::new(CoreConfig::paper(), trace)?;
+        let mut solo = Solo { hierarchy, core };
+        let now = drive(&mut solo, engine, instructions, guard)?;
+        let Solo {
+            hierarchy,
+            mut core,
+        } = solo;
         core.finalize_stats(now);
 
         let stats = hierarchy.stats();
@@ -366,6 +332,97 @@ impl System {
         };
         Ok((result, hierarchy))
     }
+}
+
+/// What the run loop steps: one whole simulated machine, solo or CMP.
+pub(crate) trait Machine {
+    /// One simulated cycle of every component, in the machine's fixed order.
+    fn tick(&mut self, now: Cycle);
+    /// The earliest cycle after `now` at which any component can act
+    /// (`None` = nothing will ever act again).
+    fn next_event(&self, now: Cycle) -> Option<Cycle>;
+    /// `true` once every core has drained its trace and pipeline.
+    fn is_finished(&self) -> bool;
+    /// Instructions committed so far, over all cores.
+    fn committed(&self) -> u64;
+}
+
+/// The single-core machine: one hierarchy ticked before one core.
+struct Solo<P: ProbeSink> {
+    hierarchy: AnyHierarchy<P>,
+    core: OooCore<std::iter::Take<TraceGenerator>>,
+}
+
+impl<P: ProbeSink> Machine for Solo<P> {
+    fn tick(&mut self, now: Cycle) {
+        self.hierarchy.tick(now);
+        self.core.tick(now, &mut self.hierarchy);
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        match (self.hierarchy.next_event(now), self.core.next_event(now)) {
+            (Some(h), Some(c)) => Some(h.min(c)),
+            (h, c) => h.or(c),
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        self.core.is_finished()
+    }
+
+    fn committed(&self) -> u64 {
+        self.core.committed()
+    }
+}
+
+/// The run loop of every simulation (DESIGN.md §10, §14.2): steps
+/// `machine` until it finishes or hits the cycle cap and returns the final
+/// clock. `instructions` is the per-core budget the cap scales with.
+///
+/// The guard observes the top of every iteration. With
+/// [`Engine::EventHorizon`] the clock jumps to the machine's next event,
+/// clamped to the guard's [`RunGuard::horizon_clamp`]: ticking at a
+/// non-event cycle is a no-op state-wise (the cycle-step engine visits
+/// every cycle and is bit-identical), so the clamp never changes results;
+/// it only makes watchdog trip cycles deterministic.
+pub(crate) fn drive<M: Machine, G: RunGuard>(
+    machine: &mut M,
+    engine: Engine,
+    instructions: u64,
+    guard: &mut G,
+) -> Result<Cycle, RunError> {
+    // Generous safety cap: no workload should need 400 cycles per
+    // instruction; hitting the cap indicates a simulator bug and shows up
+    // as an implausible IPC in the results.
+    let cycle_cap = instructions.saturating_mul(400) + 1_000_000;
+    let mut now = Cycle(0);
+    while !machine.is_finished() && now.0 < cycle_cap {
+        guard.observe(now, machine.committed())?;
+        machine.tick(now);
+        now = match engine {
+            Engine::CycleStep => now.next(),
+            // Match the reference engine's final clock exactly.
+            Engine::EventHorizon if machine.is_finished() => now.next(),
+            Engine::EventHorizon => {
+                // Jump to the earliest cycle any component can act. `None`
+                // means nothing will ever act again: jump to the cap,
+                // exactly where per-cycle stepping (all no-op ticks) would
+                // also end up.
+                let next = machine
+                    .next_event(now)
+                    .unwrap_or(Cycle(cycle_cap))
+                    .max(now.next())
+                    .min(Cycle(cycle_cap).max(now.next()));
+                match guard.horizon_clamp() {
+                    // Never jump past the next cycle the guard must
+                    // observe, while always making progress.
+                    Some(clamp) => next.min(Cycle(clamp.max(now.0 + 1))),
+                    None => next,
+                }
+            }
+        };
+    }
+    Ok(now)
 }
 
 #[cfg(test)]

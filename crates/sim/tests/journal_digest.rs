@@ -26,7 +26,7 @@ fn digest_is_invariant_under_scenario_json_round_trip() {
 }
 
 /// Every semantic field of a plan moves the digest; every pure execution
-/// knob (thread count, engine, batching, supervision budgets) leaves it
+/// knob (thread count, engine, supervision budgets) leaves it
 /// unchanged — those may differ between the crashed run and the resume.
 #[test]
 fn digest_tracks_semantics_and_ignores_execution_knobs() {
@@ -76,9 +76,6 @@ fn digest_tracks_semantics_and_ignores_execution_knobs() {
         let mut mutated = Vec::new();
         let mut o = base_plan.options.clone();
         o.threads += 7;
-        mutated.push(o);
-        let mut o = base_plan.options.clone();
-        o.batch_size += 3;
         mutated.push(o);
         let mut o = base_plan.options.clone();
         o.cycle_budget = Some(u64::MAX);

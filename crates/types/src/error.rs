@@ -118,8 +118,8 @@ impl Error for UnknownNameError {}
 
 /// A supervised run failed.
 ///
-/// The experiment engine (DESIGN.md §14) isolates every job and batch member
-/// behind a supervisor; when a run cannot produce a result, the failure is
+/// The experiment engine (DESIGN.md §14) isolates every job behind a
+/// supervisor; when a run cannot produce a result, the failure is
 /// reported through this taxonomy instead of aborting the study. Each variant
 /// maps to a stable machine-readable status string (see
 /// [`RunError::status`]) that surfaces in the `lnuca-report/v1` per-run

@@ -1,8 +1,8 @@
 //! Deterministic chaos harness for the supervised experiment engine
 //! (DESIGN.md §14).
 //!
-//! The supervision layer's claims — a panic in one batch member leaves its
-//! siblings bit-identical to their solo baselines, watchdogs trip at
+//! The supervision layer's claims — a panic in one run leaves every other
+//! run of the study bit-identical to its unfaulted baseline, watchdogs trip at
 //! reproducible cycles, a killed study resumes to a byte-identical report —
 //! are only worth anything if something hostile exercises them. This module
 //! is that something: a declarative [`ChaosPlan`] of [`ScheduledFault`]s is
@@ -57,12 +57,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// What an armed [`ScheduledFault`] does when it fires.
 #[derive(Debug, Clone)]
 pub enum FaultKind {
-    /// Panic inside the guarded run loop — the hard-crash model. Under a
-    /// batch this unwinds the whole batch (poisoning its shared heap), which
-    /// is exactly the quarantine path the harness wants to exercise.
+    /// Panic inside the guarded run loop — the hard-crash model, which the
+    /// per-run `catch_unwind` turns into a structured failure.
     Panic,
     /// Return this structured failure from the guard — the clean-trip model
-    /// (a member quarantines without taking its batch down). The injected
+    /// (the run stops without unwinding). The injected
     /// error's retry semantics follow [`RunError::is_transient`], just as a
     /// genuine watchdog trip would.
     Trip(RunError),

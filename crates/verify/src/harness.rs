@@ -98,7 +98,7 @@ pub fn run_differential_spec(
     run_differential_impl(spec, profile, instructions, seed, engine).map(|(report, _)| report)
 }
 
-/// The probed run as the engine and batch comparisons need it: the
+/// The probed run as the engine comparison needs it: the
 /// [`lnuca_sim::system::RunResult`] and the pre-quiescing prefix of the
 /// event stream.
 pub(crate) struct LiveRun {

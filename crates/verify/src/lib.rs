@@ -28,11 +28,6 @@
 //!   trips at exact cycles of exact runs through the supervision layer's
 //!   fault hook, pinning quarantine, bounded retry and checkpoint/resume
 //!   behaviour without any timing dependence.
-//! * [`mod@batch`] — the batch-equivalence layer (DESIGN.md §13):
-//!   [`batch::SequentialBaseline`] verifies every case through the oracle
-//!   once, then [`batch::SequentialBaseline::check_batched`] pins a
-//!   `lnuca_sim::batch::BatchRunner` pass at any batch size to the
-//!   identical per-run results and probe streams.
 //!
 //! # What is an input and what is checked
 //!
@@ -68,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod chaos;
 pub mod coherence;
 pub mod harness;
@@ -76,7 +70,6 @@ pub mod hierarchy;
 pub mod recorder;
 pub mod reference;
 
-pub use batch::{BatchCase, BatchEquivalenceReport, SequentialBaseline};
 pub use coherence::{run_coherence, run_coherence_both_engines, CoherenceError, CoherenceReport};
 pub use harness::{run_differential, run_differential_both_engines, DifferentialError, DifferentialReport};
 pub use hierarchy::RefHierarchy;

@@ -3,22 +3,20 @@
 //!
 //! Every test schedules faults at exact cycles of exact runs through
 //! [`lnuca_verify::chaos`] and asserts the supervision layer's contracts:
-//! batch quarantine leaves survivors bit-identical to their solo baselines,
+//! a poisoned run leaves every other run bit-identical to its baseline,
 //! watchdog trips reproduce identically across engines and are never
 //! retried, transient faults are retried to bit-identical results, and a
 //! torn study journal resumes to a byte-identical report.
 //! `LNUCA_VERIFY_INSTRUCTIONS` scales the per-run instruction budget
 //! (default 1 500), matching the differential matrix.
 
-use lnuca_sim::batch::BatchJob;
 use lnuca_sim::configs::{self, HierarchyKind};
 use lnuca_sim::experiments::{ExperimentOptions, ExperimentPlan, Study};
 use lnuca_sim::scenario::report_value;
 use lnuca_sim::spec::HierarchySpec;
-use lnuca_sim::supervise::{run_batch_supervised, run_job_supervised, Supervisor};
+use lnuca_sim::supervise::{run_job_supervised, Supervisor};
 use lnuca_sim::system::{Engine, System};
-use lnuca_types::RunError;
-use lnuca_verify::chaos::{with_fault, ChaosPlan, FaultKind, ScheduledFault};
+use lnuca_verify::chaos::{with_fault, ChaosPlan, ScheduledFault};
 use lnuca_workloads::suites;
 
 fn instructions() -> u64 {
@@ -36,64 +34,6 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("lnuca-chaos-{tag}-{}.jsonl", std::process::id()));
     path
-}
-
-/// A panic injected into one member of a batch unwinds the whole batch;
-/// quarantine must re-run the survivors solo and hand back results
-/// bit-identical to their solo baselines, with only the poisoned member
-/// reporting a structured failure.
-#[test]
-fn batch_panic_quarantines_only_the_poisoned_member() {
-    let instructions = instructions();
-    let spec = fabric_spec();
-    let profiles = suites::spec_int_like();
-    assert!(profiles.len() >= 3, "need at least 3 workloads");
-    let jobs: Vec<BatchJob<'_>> = profiles[..3]
-        .iter()
-        .map(|profile| BatchJob {
-            spec: &spec,
-            profile,
-            instructions,
-            seed: 1,
-        })
-        .collect();
-    let poisoned = &profiles[1].name;
-
-    // Solo baselines, unsupervised: what every member must equal.
-    let baselines: Vec<_> = jobs
-        .iter()
-        .map(|job| {
-            System::run_spec_with(Engine::EventHorizon, job.spec, job.profile, instructions, 1)
-                .expect("baseline runs")
-        })
-        .collect();
-
-    let supervisor = Supervisor::from_options(&ExperimentOptions::default());
-    let outcomes = with_fault(
-        ScheduledFault {
-            workload: Some(poisoned.clone()),
-            at_cycle: 40,
-            ..ScheduledFault::any()
-        },
-        || run_batch_supervised(Engine::EventHorizon, &jobs, &supervisor),
-    );
-
-    assert_eq!(outcomes.len(), jobs.len());
-    for (i, (outcome, baseline)) in outcomes.iter().zip(&baselines).enumerate() {
-        if &profiles[i].name == poisoned {
-            // Batch pass (attempt 0) + the default single retry (attempt 1),
-            // both poisoned: the failure is final and structured.
-            let err = outcome.outcome.as_ref().expect_err("poisoned member fails");
-            assert_eq!(err.status(), "panic");
-            assert!(matches!(err, RunError::Panic { .. }), "got {err:?}");
-            assert_eq!(outcome.attempts, 2);
-        } else {
-            let (result, _) = outcome.outcome.as_ref().expect("survivor succeeds");
-            assert_eq!(result, baseline, "survivor {i} drifted from its solo baseline");
-            // One lost batch pass, one clean solo re-run.
-            assert_eq!(outcome.attempts, 2);
-        }
-    }
 }
 
 /// Cycle-budget and livelock trips are deterministic: identical structured
@@ -178,47 +118,6 @@ fn transient_panic_is_retried_to_a_bit_identical_result() {
     assert_eq!(outcome.attempts, 2);
     let (result, _) = outcome.outcome.expect("retry succeeds");
     assert_eq!(result, baseline);
-}
-
-/// An injected clean trip (the fault returns a structured error instead of
-/// panicking) quarantines exactly one batch member without unwinding the
-/// batch: siblings finish their batched pass on attempt 0.
-#[test]
-fn injected_trip_quarantines_without_unwinding_the_batch() {
-    let instructions = instructions();
-    let spec = fabric_spec();
-    let profiles = suites::spec_int_like();
-    let jobs: Vec<BatchJob<'_>> = profiles[..3]
-        .iter()
-        .map(|profile| BatchJob {
-            spec: &spec,
-            profile,
-            instructions,
-            seed: 1,
-        })
-        .collect();
-
-    let supervisor = Supervisor::from_options(&ExperimentOptions::default());
-    let tripped = &profiles[2].name;
-    let outcomes = with_fault(
-        ScheduledFault {
-            workload: Some(tripped.clone()),
-            at_cycle: 10,
-            kind: FaultKind::Trip(RunError::CycleBudgetExceeded { budget: 10, at_cycle: 10 }),
-            ..ScheduledFault::any()
-        },
-        || run_batch_supervised(Engine::EventHorizon, &jobs, &supervisor),
-    );
-    for (i, outcome) in outcomes.iter().enumerate() {
-        if &profiles[i].name == tripped {
-            let err = outcome.outcome.as_ref().expect_err("tripped member fails");
-            assert_eq!(err.status(), "cycle-budget");
-            assert_eq!(outcome.attempts, 1, "deterministic trip is never retried");
-        } else {
-            assert!(outcome.outcome.is_ok(), "sibling {i} must survive in-batch");
-            assert_eq!(outcome.attempts, 1, "siblings keep their batched pass");
-        }
-    }
 }
 
 /// A whole study with one deterministically poisoned workload, fanned over

@@ -1,11 +1,8 @@
 //! Differential coverage for trace-driven workloads (`AccessPattern::Trace`):
 //! the committed sample corpus must round-trip from the textual dump through
-//! `lnuca ingest` encoding, replay bit-identically under both engines, and
-//! survive the batch-equivalence check at batch sizes {1, full}.
+//! `lnuca ingest` encoding and replay bit-identically under both engines.
 
 use lnuca_sim::configs::{self, HierarchyKind};
-use lnuca_sim::system::Engine;
-use lnuca_verify::batch::{BatchCase, SequentialBaseline};
 use lnuca_verify::harness::run_differential_spec_both_engines;
 use lnuca_workloads::{trace, TraceData};
 
@@ -40,37 +37,5 @@ fn trace_replay_passes_the_differential_oracle_under_both_engines() {
         let report = run_differential_spec_both_engines(&spec, &profile, 6_000, 1)
             .expect("trace replay matches the reference model under both engines");
         assert!(report.accesses > 0, "the replay issued memory operations");
-    }
-}
-
-#[test]
-fn trace_replay_is_batch_equivalent_at_one_and_full_width() {
-    let profile = trace::trace_profile(&sample_path("sample.lnt"));
-    let specs = [
-        HierarchyKind::Conventional(configs::conventional()).to_spec(),
-        HierarchyKind::LNucaL3(configs::lnuca_hierarchy(2)).to_spec(),
-        lnuca_sim::spec::HierarchySpec::builder()
-            .fabric(lnuca_core::LNucaConfig::paper(3).expect("3 levels is in range"))
-            .build()
-            .expect("a fabric-over-memory spec builds"),
-    ];
-    let cases: Vec<BatchCase> = specs
-        .iter()
-        .flat_map(|spec| {
-            [1u64, 2].map(|seed| BatchCase {
-                spec: spec.clone(),
-                profile: profile.clone(),
-                instructions: 4_000,
-                seed,
-            })
-        })
-        .collect();
-    let baseline = SequentialBaseline::capture(Engine::EventHorizon, cases)
-        .expect("every trace-replay case passes the sequential oracle");
-    for batch_size in [1, 0] {
-        let report = baseline
-            .check_batched(batch_size)
-            .expect("batched trace replays are bit-identical to solo runs");
-        assert_eq!(report.runs, baseline.len());
     }
 }

@@ -4,8 +4,8 @@
 //! (DESIGN.md §16): `lnuca ingest` converts textual dump lines into the
 //! compact indexed binary described here, and [`AccessPattern::Trace`]
 //! profiles replay the binary through [`crate::TraceGenerator`] exactly like
-//! a synthetic pattern — deterministically, so every engine and batch size
-//! sees the identical instruction stream.
+//! a synthetic pattern — deterministically, so every engine sees the
+//! identical instruction stream.
 //!
 //! # Layout (`lnuca-trace/v1`)
 //!
@@ -342,8 +342,8 @@ struct ChunkIndex {
 }
 
 /// A validated, immutable in-memory `lnuca-trace/v1` file. Cloning is cheap
-/// (the bytes are shared), so every batch member and engine can hold its own
-/// handle onto one loaded corpus.
+/// (the bytes are shared), so every run and engine can hold its own handle
+/// onto one loaded corpus.
 #[derive(Debug, Clone)]
 pub struct TraceData {
     bytes: Arc<[u8]>,
